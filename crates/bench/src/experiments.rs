@@ -677,7 +677,6 @@ pub fn serve_scale(
     shard_counts
         .iter()
         .map(|&shards| {
-            let spawns_before = kaskade_graph::thread_spawns();
             let (outcome, dispatches) = if shards <= 1 {
                 let engine = Engine::new(base.clone());
                 let outcome = drive(&engine, &workload, &cfg);
@@ -702,7 +701,7 @@ pub fn serve_scale(
                 apply_p99: outcome.report.apply_p99,
                 writes: outcome.writes,
                 pool_dispatches: dispatches,
-                spawns_during_serve: kaskade_graph::thread_spawns() - spawns_before,
+                spawns_during_serve: outcome.report.adhoc_thread_spawns,
                 final_consistent: outcome.final_consistent,
             }
         })

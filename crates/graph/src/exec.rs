@@ -10,11 +10,13 @@
 //! the caller of `run` (all three implementations here do, and the
 //! serving runtime's `WorkerPool` does too).
 //!
-//! [`ScopedExec`] is the spawn-per-call fallback; every use bumps a
-//! process-wide counter ([`thread_spawns`]) so tests can assert that a
-//! steady-state serving path never falls back to spawning.
+//! [`ScopedExec`] is the spawn-per-call fallback; every use is charged
+//! to the thread that asked for it ([`thread_spawns_here`]), so a
+//! serving runtime can report how often its own write path fell back to
+//! spawning, and a test can count its own spawns without seeing those of
+//! tests running beside it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Executes `n` independent tasks, possibly in parallel.
 ///
@@ -49,19 +51,30 @@ impl ParallelExec for SerialExec {
     }
 }
 
-/// Process-wide count of threads spawned by [`ScopedExec`] — the
-/// "did anything fall back to spawning?" test hook.
-static SCOPED_SPAWNS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static SPAWNS_HERE: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Threads spawned by [`ScopedExec`] since process start. Serving
-/// runtimes route all steady-state parallelism through a persistent
-/// pool; tests assert this counter stays flat while serving.
-pub fn thread_spawns() -> u64 {
-    SCOPED_SPAWNS.load(Ordering::Relaxed)
+/// Threads [`ScopedExec`] spawned on behalf of the calling thread since
+/// it started: those of its own `run` calls plus, transitively, those
+/// spawned inside the tasks it handed out (a persistent pool charges
+/// its tasks' spawns back the same way, see [`add_thread_spawns_here`]).
+/// A thread that serves one engine's write path therefore holds that
+/// write path's fallback count, and no other thread can move it.
+pub fn thread_spawns_here() -> u64 {
+    SPAWNS_HERE.with(Cell::get)
+}
+
+/// Charges `n` spawns to the calling thread's [`thread_spawns_here`] —
+/// for executors that run tasks on threads of their own, to pass the
+/// spawns made inside those tasks back to the thread that dispatched
+/// them.
+pub fn add_thread_spawns_here(n: u64) {
+    SPAWNS_HERE.with(|c| c.set(c.get() + n));
 }
 
 /// Spawns one scoped thread per task — the fallback when no persistent
-/// pool is available. Counted by [`thread_spawns`].
+/// pool is available. Counted by [`thread_spawns_here`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScopedExec;
 
@@ -71,18 +84,31 @@ impl ParallelExec for ScopedExec {
             0 => {}
             1 => task(0),
             _ => {
-                SCOPED_SPAWNS.fetch_add(n as u64 - 1, Ordering::Relaxed);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = (1..n).map(|i| scope.spawn(move || task(i))).collect();
+                    // each spawned thread reports the spawns its own
+                    // task made, so nested fallbacks reach the caller
+                    let handles: Vec<_> = (1..n)
+                        .map(|i| {
+                            scope.spawn(move || {
+                                task(i);
+                                thread_spawns_here()
+                            })
+                        })
+                        .collect();
                     let caller = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(0)));
                     // surface the original payload, not scope()'s
                     // generic "a scoped thread panicked"
                     let mut payload = caller.err();
+                    let mut spawned = n as u64 - 1;
                     for handle in handles {
-                        if let Err(p) = handle.join() {
-                            payload.get_or_insert(p);
+                        match handle.join() {
+                            Ok(nested) => spawned += nested,
+                            Err(p) => {
+                                payload.get_or_insert(p);
+                            }
                         }
                     }
+                    add_thread_spawns_here(spawned);
                     if let Some(p) = payload {
                         std::panic::resume_unwind(p);
                     }
@@ -153,6 +179,7 @@ impl<T> SharedSlice<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn serial_and_scoped_cover_every_index() {
@@ -169,14 +196,19 @@ mod tests {
 
     #[test]
     fn scoped_exec_counts_spawns() {
-        let before = thread_spawns();
+        let before = thread_spawns_here();
         ScopedExec.run(4, &|_| {});
-        assert_eq!(thread_spawns() - before, 3);
+        assert_eq!(thread_spawns_here() - before, 3);
+        // nested runs are charged to the thread that started the outer
+        // one: 1 outer spawn + 2 inner runs of 2 spawns each
+        let before = thread_spawns_here();
+        ScopedExec.run(2, &|_| ScopedExec.run(3, &|_| {}));
+        assert_eq!(thread_spawns_here() - before, 5);
         // n <= 1 never spawns
-        let before = thread_spawns();
+        let before = thread_spawns_here();
         ScopedExec.run(1, &|_| {});
         ScopedExec.run(0, &|_| {});
-        assert_eq!(thread_spawns(), before);
+        assert_eq!(thread_spawns_here(), before);
     }
 
     #[test]

@@ -50,7 +50,9 @@ mod value;
 pub use codec::{crc32, CodecError, Dec, Enc};
 pub use compact::IdRemap;
 pub use edit::GraphEditor;
-pub use exec::{chunk_ranges, thread_spawns, ParallelExec, ScopedExec, SerialExec};
+pub use exec::{
+    add_thread_spawns_here, chunk_ranges, thread_spawns_here, ParallelExec, ScopedExec, SerialExec,
+};
 pub use extid::{ExternalIdError, ExternalIdTable};
 pub use graph::{EdgeId, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, Symbol};

@@ -26,76 +26,99 @@ const POOL_DEPTH: usize = 8;
 /// should not be pinned forever).
 const MAX_POOLED_CAPACITY: usize = 16 << 20;
 
-static U32_POOL: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
+/// A bounded stack of reusable `Vec<u32>` buffers.
+struct BufPool(Mutex<Vec<Vec<u32>>>);
+
+impl BufPool {
+    const fn new() -> Self {
+        BufPool(Mutex::new(Vec::new()))
+    }
+
+    fn take(&self, capacity: usize) -> Vec<u32> {
+        let mut pool = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        match pool.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.reserve(capacity);
+                buf
+            }
+            None => Vec::with_capacity(capacity),
+        }
+    }
+
+    fn give(&self, buf: Vec<u32>) {
+        if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
+            return;
+        }
+        let mut pool = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if pool.len() < POOL_DEPTH {
+            pool.push(buf);
+        }
+    }
+
+    fn take_zeroed(&self, len: usize) -> Vec<u32> {
+        let mut buf = self.take(len);
+        buf.resize(len, 0);
+        buf
+    }
+}
+
+static U32_POOL: BufPool = BufPool::new();
 
 /// Takes a cleared `Vec<u32>` with at least `capacity` spare capacity,
 /// reusing a pooled buffer when one is available.
 pub(crate) fn take_u32(capacity: usize) -> Vec<u32> {
-    let mut pool = U32_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    match pool.pop() {
-        Some(mut buf) => {
-            buf.clear();
-            buf.reserve(capacity);
-            buf
-        }
-        None => Vec::with_capacity(capacity),
-    }
+    U32_POOL.take(capacity)
 }
 
 /// Returns a buffer to the pool for the next rebuild.
 pub(crate) fn give_u32(buf: Vec<u32>) {
-    if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
-        return;
-    }
-    let mut pool = U32_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.len() < POOL_DEPTH {
-        pool.push(buf);
-    }
+    U32_POOL.give(buf);
 }
 
 /// A `vec![0u32; len]` equivalent drawn from the pool.
 pub(crate) fn take_u32_zeroed(len: usize) -> Vec<u32> {
-    let mut buf = take_u32(len);
-    buf.resize(len, 0);
-    buf
+    U32_POOL.take_zeroed(len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // each test owns its pool: the process-wide one is shared with
+    // every graph rebuild the crate's other tests run concurrently
+
     #[test]
     fn buffers_recycle_through_the_pool() {
-        let mut buf = take_u32(100);
+        let pool = BufPool::new();
+        let mut buf = pool.take(100);
         buf.extend(0..100);
         let ptr = buf.as_ptr();
-        let cap = buf.capacity();
-        give_u32(buf);
+        pool.give(buf);
         // the very next take of a fitting size reuses the allocation
-        let again = take_u32(50);
-        if again.capacity() == cap {
-            assert_eq!(again.as_ptr(), ptr);
-        }
+        let again = pool.take(50);
+        assert_eq!(again.as_ptr(), ptr);
         assert!(again.is_empty());
-        give_u32(again);
     }
 
     #[test]
     fn zeroed_take_is_all_zero_after_reuse() {
-        let mut buf = take_u32(16);
+        let pool = BufPool::new();
+        let mut buf = pool.take(16);
         buf.extend([7u32; 16]);
-        give_u32(buf);
-        let z = take_u32_zeroed(16);
-        assert_eq!(z, vec![0u32; 16]);
-        give_u32(z);
+        pool.give(buf);
+        assert_eq!(pool.take_zeroed(16), vec![0u32; 16]);
     }
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        give_u32(Vec::new()); // no capacity: dropped silently
-        let depth_before = U32_POOL.lock().unwrap().len();
-        let huge = Vec::with_capacity(MAX_POOLED_CAPACITY + 1);
-        give_u32(huge);
-        assert_eq!(U32_POOL.lock().unwrap().len(), depth_before);
+        let pool = BufPool::new();
+        pool.give(Vec::new()); // no capacity: dropped silently
+        pool.give(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
+        assert!(pool.0.lock().unwrap().is_empty());
+        for _ in 0..POOL_DEPTH + 1 {
+            pool.give(Vec::with_capacity(4));
+        }
+        assert_eq!(pool.0.lock().unwrap().len(), POOL_DEPTH, "depth is bounded");
     }
 }

@@ -1097,6 +1097,11 @@ fn writer_loop(
                 .queued
                 .fetch_sub((batch.batched + batch.rejected) as u64, Ordering::Relaxed);
         }
+        // this thread runs only this engine's write path, so its spawn
+        // count is the engine's; stored before the acks release flushers
+        shared
+            .metrics
+            .set_adhoc_thread_spawns(kaskade_graph::thread_spawns_here());
         for ack in batch.acks {
             let _ = ack.send(shared.cell.epoch());
         }

@@ -180,6 +180,7 @@ pub struct Metrics {
     last_refresh_nanos: AtomicU64,
     max_lag_nanos: AtomicU64,
     last_lag_nanos: AtomicU64,
+    adhoc_thread_spawns: AtomicU64,
     per_view: Mutex<Vec<PerViewSlot>>,
     benefits: Mutex<Vec<BenefitSlot>>,
     misses: Mutex<Vec<MissSlot>>,
@@ -195,6 +196,13 @@ impl Metrics {
     pub fn record_query(&self, latency: Duration) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.latency.record(latency);
+    }
+
+    /// Stores the write thread's running count of spawn-per-call
+    /// fallback threads ([`kaskade_graph::thread_spawns_here`] read on
+    /// the thread that owns this engine's write path).
+    pub fn set_adhoc_thread_spawns(&self, spawns: u64) {
+        self.adhoc_thread_spawns.store(spawns, Ordering::Relaxed);
     }
 
     /// Records a failed query.
@@ -463,6 +471,7 @@ impl Metrics {
             last_refresh: Duration::from_nanos(self.last_refresh_nanos.load(Ordering::Relaxed)),
             last_refresh_lag: Duration::from_nanos(self.last_lag_nanos.load(Ordering::Relaxed)),
             max_refresh_lag: Duration::from_nanos(self.max_lag_nanos.load(Ordering::Relaxed)),
+            adhoc_thread_spawns: self.adhoc_thread_spawns.load(Ordering::Relaxed),
             epoch: 0,
             plan_cache_hits: 0,
             plan_cache_misses: 0,
@@ -590,6 +599,10 @@ pub struct MetricsReport {
     pub last_refresh_lag: Duration,
     /// Worst enqueue→visibility lag observed.
     pub max_refresh_lag: Duration,
+    /// Threads the write path spawned through the spawn-per-call
+    /// fallback instead of the persistent worker pool — 0 while the
+    /// pool is wired through every parallel step.
+    pub adhoc_thread_spawns: u64,
     /// Epoch of the currently published snapshot.
     pub epoch: u64,
     /// Plan-cache hits.

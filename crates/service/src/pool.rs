@@ -12,7 +12,9 @@
 //! injector queue. It implements [`ParallelExec`], so the graph-layer
 //! merge publish, the refresh DAG, and the shard scatter all share one
 //! pool — zero thread spawns in steady-state serving (asserted by the
-//! [`kaskade_graph::thread_spawns`] counter in tests).
+//! [`kaskade_graph::thread_spawns_here`] count in tests). Spawns made
+//! inside a task on a pool thread are charged back to the thread that
+//! called [`WorkerPool::run`], so that count stays complete.
 //!
 //! The caller of [`WorkerPool::run`] *helps*: it claims task indices
 //! alongside the workers rather than blocking, which both uses the
@@ -24,7 +26,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use kaskade_graph::ParallelExec;
+use kaskade_graph::{add_thread_spawns_here, thread_spawns_here, ParallelExec};
 
 /// One batch of `n` index-addressed tasks pushed to the pool.
 ///
@@ -41,6 +43,8 @@ struct Job {
     done: Mutex<usize>,
     all_done: Condvar,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Scoped spawns made by tasks that ran on pool threads.
+    spawns: AtomicU64,
 }
 
 // Safety: `task` points at a `Sync` closure; all other fields are
@@ -51,8 +55,11 @@ unsafe impl Sync for Job {}
 
 impl Job {
     /// Claims and runs tasks until the claim space is exhausted;
-    /// returns how many tasks this call executed.
-    fn work(&self) -> u64 {
+    /// returns how many tasks this call executed. A pool thread
+    /// (`on_worker`) adds its tasks' scoped spawns to `spawns` for `run`
+    /// to charge to the dispatcher; a helping caller's are already on
+    /// its own count.
+    fn work(&self, on_worker: bool) -> u64 {
         let mut ran = 0;
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -63,7 +70,12 @@ impl Job {
             // Safety: i < n, so `run` is still blocked in its
             // completion wait and the closure is alive.
             let task = unsafe { &*self.task };
+            let spawns_before = thread_spawns_here();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(i)));
+            if on_worker {
+                self.spawns
+                    .fetch_add(thread_spawns_here() - spawns_before, Ordering::Relaxed);
+            }
             if let Err(payload) = outcome {
                 let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
                 slot.get_or_insert(payload);
@@ -194,7 +206,7 @@ fn worker_loop(shared: &PoolShared, tasks_run: &AtomicU64) {
             }
         };
         let Some(job) = job else { return };
-        let ran = job.work();
+        let ran = job.work(true);
         tasks_run.fetch_add(ran, Ordering::Relaxed);
     }
 }
@@ -222,6 +234,7 @@ impl ParallelExec for WorkerPool {
             done: Mutex::new(0),
             all_done: Condvar::new(),
             panic: Mutex::new(None),
+            spawns: AtomicU64::new(0),
         });
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -230,8 +243,9 @@ impl ParallelExec for WorkerPool {
         self.shared.work_ready.notify_all();
         // the caller helps: it claims indices alongside the workers, so
         // a nested run() from inside a pool task cannot deadlock
-        job.work();
+        job.work(false);
         job.wait_done();
+        add_thread_spawns_here(job.spawns.load(Ordering::Relaxed));
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
@@ -306,24 +320,23 @@ mod tests {
 
     #[test]
     fn drop_joins_all_threads() {
-        let before = count_process_threads();
-        {
-            let pool = WorkerPool::new(4);
-            pool.run(16, &|_| {});
-            assert_eq!(pool.threads(), 4);
-        }
-        // after drop the worker threads must be gone
-        let after = count_process_threads();
-        assert!(
-            after <= before,
-            "pool drop leaked threads: {before} -> {after}"
-        );
+        let pool = WorkerPool::new(4);
+        pool.run(16, &|_| {});
+        assert_eq!(pool.threads(), 4);
+        // every worker holds a clone of `shared` until its loop returns,
+        // so once the pool is dropped nothing may keep it alive
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert!(shared.upgrade().is_none(), "pool drop leaked a worker");
     }
 
-    /// Thread count of the current process via /proc (Linux CI); falls
-    /// back to 0 == 0 elsewhere.
-    fn count_process_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+    #[test]
+    fn scoped_spawns_in_pool_tasks_are_charged_to_the_dispatcher() {
+        let pool = WorkerPool::new(2);
+        let before = thread_spawns_here();
+        // each task falls back to one scoped spawn, wherever it runs
+        pool.run(8, &|_| kaskade_graph::ScopedExec.run(2, &|_| {}));
+        assert_eq!(thread_spawns_here() - before, 8);
     }
 
     #[test]

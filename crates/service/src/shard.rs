@@ -723,10 +723,10 @@ impl ShardedEngine {
         }
         global.apply_p50 = merged.quantile(0.50);
         global.apply_p99 = merged.quantile(0.99);
-        ShardedMetricsReport {
-            global,
-            per_shard: self.shared.shards.iter().map(Engine::metrics).collect(),
-        }
+        let per_shard: Vec<MetricsReport> =
+            self.shared.shards.iter().map(Engine::metrics).collect();
+        global.adhoc_thread_spawns += per_shard.iter().map(|s| s.adhoc_thread_spawns).sum::<u64>();
+        ShardedMetricsReport { global, per_shard }
     }
 
     /// The tracing subsystem shared by the router and every shard.
@@ -737,8 +737,8 @@ impl ShardedEngine {
     /// The persistent worker pool shared by the router, every shard
     /// engine, and the query scatter path. Its
     /// [`WorkerPool::dispatches`] counter (together with
-    /// [`kaskade_graph::thread_spawns`]) is the "zero spawns in steady
-    /// state" observability hook.
+    /// [`MetricsReport::adhoc_thread_spawns`]) is the "zero spawns in
+    /// steady state" observability hook.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.shared.pool
     }
@@ -1269,6 +1269,10 @@ fn router_loop(
                 .queued
                 .fetch_sub((batch.batched + batch.rejected) as u64, Ordering::Relaxed);
         }
+        // the router's own spawns; `metrics()` adds the shard engines'
+        shared
+            .metrics
+            .set_adhoc_thread_spawns(kaskade_graph::thread_spawns_here());
         for ack in batch.acks {
             let _ = ack.send(shared.cell.epoch());
         }

@@ -630,13 +630,20 @@ fn sharded_tracer_records_the_whole_pipeline() {
 /// Zero thread spawns in steady-state serving: after the first
 /// publish and the first query warmed every path, further writes and
 /// scatter/gather queries run entirely on the persistent worker pool.
-/// The pool's dispatch counter must grow while the global ad-hoc
-/// scoped-spawn counter ([`kaskade::graph::thread_spawns`]) stays
-/// flat — the counter every pre-pool code path (per-query
-/// `thread::scope` scatter, per-publish refresh spawns) used to bump.
+/// The pool's dispatch counter must grow while the spawn-per-call
+/// fallback count stays flat — on the write path the engine's own
+/// [`MetricsReport::adhoc_thread_spawns`](kaskade::service::MetricsReport),
+/// on the read path this thread's
+/// ([`kaskade::graph::thread_spawns_here`], which scatter tasks run on
+/// the pool are charged back to). Both are counts no other test can
+/// move: every pre-pool code path (per-query `thread::scope` scatter,
+/// per-publish refresh spawns) used to bump them.
 #[test]
 fn steady_state_serving_spawns_no_threads() {
-    let k = tiny_instance(73);
+    let mut k = tiny_instance(73);
+    // a second view on the connector's refresh-DAG level, so every
+    // publish refreshes a level of two views in parallel
+    k.materialize_view(ViewDef::Connector(ConnectorDef::k_hop("File", "File", 2)));
     let engine = ShardedEngine::with_config(
         k.snapshot(),
         ShardedConfig {
@@ -652,7 +659,8 @@ fn steady_state_serving_spawns_no_threads() {
     engine.flush();
     engine.execute(&query).unwrap();
 
-    let spawns_before = kaskade::graph::thread_spawns();
+    let write_spawns_before = engine.metrics().global.adhoc_thread_spawns;
+    let read_spawns_before = kaskade::graph::thread_spawns_here();
     let dispatches_before = engine.pool().dispatches();
     for i in 1..6u64 {
         let snap = engine.snapshot();
@@ -666,9 +674,14 @@ fn steady_state_serving_spawns_no_threads() {
         "serving never dispatched to the persistent pool"
     );
     assert_eq!(
-        kaskade::graph::thread_spawns(),
-        spawns_before,
-        "steady-state serving spawned ad-hoc scoped threads"
+        engine.metrics().global.adhoc_thread_spawns,
+        write_spawns_before,
+        "steady-state publishes spawned ad-hoc scoped threads"
+    );
+    assert_eq!(
+        kaskade::graph::thread_spawns_here(),
+        read_spawns_before,
+        "steady-state reads spawned ad-hoc scoped threads"
     );
 }
 
