@@ -1,9 +1,8 @@
 //! A reusable load harness: N reader threads at a fixed pace against a
 //! scripted delta writer.
 //!
-//! Both the `kaskade serve` CLI mode and the `kaskade-bench`
-//! concurrent-throughput experiment drive the [`Engine`] the same way;
-//! this module is that shared way. Reader threads round-robin a query
+//! The `kaskade serve` CLI mode and the service tests drive the
+//! [`Engine`] through this module. Reader threads round-robin a query
 //! list through per-thread [`crate::Reader`] handles (the lock-free
 //! path); one writer thread submits scripted deltas of a configurable
 //! [`Workload`] shape (append / churn / hotkey / burst) on its own
@@ -26,9 +25,8 @@ use crate::stream::{delta_for, Workload};
 
 /// The engine surface [`drive`] needs: per-thread readers, snapshot
 /// access, and the write path. Implemented by the single [`Engine`] and
-/// the [`ShardedEngine`], so the CLI's `serve` mode, the bench
-/// experiments, and the acceptance tests exercise both through one
-/// harness.
+/// the [`ShardedEngine`], so the CLI's `serve` mode and the acceptance
+/// tests exercise both through one harness.
 pub trait ServingBackend: Sync {
     /// A per-thread read handle with a cached, epoch-validated
     /// snapshot.
@@ -415,27 +413,42 @@ mod tests {
         assert!(outcome.final_consistent, "final snapshot passes the oracle");
     }
 
+    /// Every workload shape — churn's retractions included — leaves
+    /// torn-free reads and a final snapshot that passes the oracle.
     #[test]
     fn drive_churn_workload_stays_consistent() {
         let g = generate_provenance(&ProvenanceConfig::tiny(32).core_only());
         let mut k = Kaskade::new(g, Schema::provenance());
         k.materialize_view(ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 2)));
-        let engine = Engine::from_kaskade(&k);
         let queries = vec![parse(LISTING_1).unwrap()];
-        let outcome = drive(
-            &engine,
-            &queries,
-            &DriveConfig {
-                readers: 2,
-                duration: Duration::from_millis(250),
-                write_pause: Duration::from_millis(1),
-                workload: Workload::Churn,
-                verify_consistency: true,
-                ..DriveConfig::default()
-            },
-        );
-        assert_eq!(outcome.consistency_violations, 0, "no torn reads");
-        assert!(outcome.final_consistent, "churn left a consistent state");
-        assert!(outcome.writes > 0);
+        for workload in Workload::ALL {
+            let engine = Engine::from_kaskade(&k);
+            let outcome = drive(
+                &engine,
+                &queries,
+                &DriveConfig {
+                    readers: 2,
+                    duration: Duration::from_millis(250),
+                    write_pause: Duration::from_millis(1),
+                    workload,
+                    verify_consistency: true,
+                    ..DriveConfig::default()
+                },
+            );
+            assert_eq!(outcome.consistency_violations, 0, "{workload}: torn reads");
+            assert!(
+                outcome.final_consistent,
+                "{workload} left an inconsistent state"
+            );
+            assert!(outcome.writes > 0, "{workload}: writer made no progress");
+            assert!(outcome.report.epoch > 0, "{workload}: nothing published");
+            if workload == Workload::Churn {
+                assert!(
+                    outcome.report.retractions_applied > 0,
+                    "churn never retracted: {:?}",
+                    outcome.report
+                );
+            }
+        }
     }
 }

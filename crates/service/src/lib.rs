@@ -70,9 +70,9 @@
 //! # drop(before);
 //! ```
 //!
-//! The `kaskade serve` CLI mode and the `kaskade-bench` concurrent
-//! throughput experiment both drive this engine through
-//! [`drive()`](drive::drive).
+//! The `kaskade serve` CLI mode drives this engine through
+//! [`drive()`](drive::drive); the repository benchmark (`benchmark/`)
+//! drives it with fixed operation counts of its own.
 //!
 //! [`GraphDelta`]: kaskade_core::GraphDelta
 //! [`GraphDelta::merge`]: kaskade_core::GraphDelta::merge

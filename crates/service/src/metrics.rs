@@ -589,9 +589,7 @@ pub struct MetricsReport {
     /// Write batches published (snapshot epochs minted).
     pub batches_published: u64,
     /// Cumulative apply+publish time across all batches — the total
-    /// wall-clock the write path spent ingesting. The `serve_sharded`
-    /// experiment compares this figure per shard against the
-    /// single-engine total to show the write path parallelizing.
+    /// wall-clock the write path spent ingesting.
     pub apply_total: Duration,
     /// Apply+publish duration of the most recent batch.
     pub last_refresh: Duration,

@@ -245,6 +245,8 @@ impl ParallelExec for WorkerPool {
         // a nested run() from inside a pool task cannot deadlock
         job.work(false);
         job.wait_done();
+        // every worker adds to `spawns` before taking the `done` lock
+        // that `wait_done` also takes, so all adds are visible here
         add_thread_spawns_here(job.spawns.load(Ordering::Relaxed));
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(payload) = payload {

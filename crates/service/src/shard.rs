@@ -364,9 +364,8 @@ pub struct ShardedMetricsReport {
     /// router's apply+publish timings (global apply, parallel view
     /// refresh, and stats merge).
     pub global: MetricsReport,
-    /// Per-shard engine reports; `apply_total` here is the per-shard
-    /// ingest time the `serve_sharded` experiment compares against the
-    /// single-engine write path.
+    /// Per-shard engine reports; `apply_total` here is each shard's own
+    /// ingest time.
     pub per_shard: Vec<MetricsReport>,
 }
 

@@ -441,47 +441,114 @@ fn cli_rejects_zero_shards_and_zero_threads() {
 /// compaction policy: slot capacity stays bounded relative to live
 /// size, the final snapshot passes the full oracle, and per-read
 /// verification sees zero violations across the compaction fences.
+/// With the policy disabled (an infinite dead ratio) the same churn
+/// never compacts and keeps its dead slots.
 #[test]
 fn drive_churn_compacts_without_violations() {
-    let engine = Engine::with_config(
-        tiny_instance(59).snapshot(),
-        EngineConfig {
-            max_batch: 4,
-            compact_dead_ratio: 0.05,
-            ..EngineConfig::default()
-        },
-    );
-    let queries = vec![parse(LISTING_1).unwrap()];
-    let outcome = drive(
-        &engine,
-        &queries,
-        &DriveConfig {
-            readers: 4,
-            duration: Duration::from_millis(600),
-            read_pause: Duration::ZERO,
-            write_pause: Duration::from_millis(1),
-            max_writes: 0,
-            verify_consistency: true,
-            workload: Workload::Churn,
-        },
-    );
-    assert_eq!(outcome.read_errors, 0);
-    assert_eq!(outcome.consistency_violations, 0, "zero torn reads");
-    assert!(outcome.final_consistent, "final snapshot passes the oracle");
-    let report = &outcome.report;
+    for compact_dead_ratio in [0.05, f64::INFINITY] {
+        let engine = Engine::with_config(
+            tiny_instance(59).snapshot(),
+            EngineConfig {
+                max_batch: 4,
+                compact_dead_ratio,
+                ..EngineConfig::default()
+            },
+        );
+        let queries = vec![parse(LISTING_1).unwrap()];
+        let outcome = drive(
+            &engine,
+            &queries,
+            &DriveConfig {
+                readers: 4,
+                duration: Duration::from_millis(600),
+                read_pause: Duration::ZERO,
+                write_pause: Duration::from_millis(1),
+                max_writes: 0,
+                verify_consistency: true,
+                workload: Workload::Churn,
+            },
+        );
+        assert_eq!(outcome.read_errors, 0);
+        assert_eq!(outcome.consistency_violations, 0, "zero torn reads");
+        assert!(outcome.final_consistent, "final snapshot passes the oracle");
+        let report = &outcome.report;
+        let snap = engine.snapshot();
+        let g = snap.state.graph();
+        let live = g.vertex_count() + g.edge_count();
+        let capacity = g.vertex_slots() + g.edge_slots();
+        if compact_dead_ratio.is_finite() {
+            assert!(
+                report.compactions_run >= 1,
+                "aggressive policy must compact under churn: {report:?}"
+            );
+            assert!(report.slots_reclaimed > 0);
+            assert!(
+                capacity <= 2 * live + 256,
+                "capacity {capacity} not bounded vs live {live}: {report:?}"
+            );
+        } else {
+            assert_eq!(
+                report.compactions_run, 0,
+                "disabled policy compacted: {report:?}"
+            );
+            assert_eq!(report.slots_reclaimed, 0);
+            assert!(
+                capacity > live,
+                "churn without compaction must leave dead slots: {report:?}"
+            );
+        }
+    }
+}
+
+/// A disabled tracer records nothing while an engine publishes and
+/// serves, and a 1µs slow-query threshold logs every served query as a
+/// `slow_query` event. Counted over a fixed number of steps.
+#[test]
+fn disabled_tracer_stays_empty_and_slow_log_catches_every_query() {
+    use kaskade::service::{Stage, Tracer};
+    use std::sync::Arc;
+
+    const STEPS: u64 = 6;
+    let k = tiny_instance(41);
+    let query = parse(LISTING_1).unwrap();
+    let serve = |tracer: &Arc<Tracer>| {
+        let engine = Engine::with_config(
+            k.snapshot(),
+            EngineConfig {
+                tracer: Some(Arc::clone(tracer)),
+                ..EngineConfig::default()
+            },
+        );
+        let mut reader = engine.reader();
+        for step in 0..STEPS {
+            let snap = engine.snapshot();
+            let d = churn_delta(&snap.state, step).expect("churn delta");
+            engine.submit(d, SubmitOpts::default()).unwrap();
+            engine.flush();
+            engine.execute_with(&mut reader, &query).unwrap();
+        }
+        assert_eq!(engine.metrics().queries, STEPS);
+    };
+
+    let off = Arc::new(Tracer::new(false));
+    serve(&off);
     assert!(
-        report.compactions_run >= 1,
-        "aggressive policy must compact under churn: {report:?}"
+        off.dump().is_empty(),
+        "disabled tracer recorded:\n{}",
+        off.render_dump()
     );
-    assert!(report.slots_reclaimed > 0);
-    let snap = engine.snapshot();
-    let g = snap.state.graph();
-    let live = g.vertex_count() + g.edge_count();
-    let capacity = g.vertex_slots() + g.edge_slots();
-    assert!(
-        capacity <= 2 * live + 256,
-        "capacity {capacity} not bounded vs live {live}: {report:?}"
-    );
+    assert_eq!(off.slow_queries(), 0);
+
+    let slowlog = Arc::new(Tracer::new(true));
+    slowlog.set_slow_query_threshold(Some(Duration::from_micros(1)));
+    serve(&slowlog);
+    assert_eq!(slowlog.slow_queries(), STEPS);
+    let logged = slowlog
+        .dump()
+        .iter()
+        .filter(|e| e.stage == Stage::SlowQuery)
+        .count();
+    assert_eq!(logged as u64, STEPS, "{}", slowlog.render_dump());
 }
 
 /// Batching applies many queued deltas in one publish; the final state
